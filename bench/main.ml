@@ -127,15 +127,6 @@ let pool_campaign jobs () =
   assert (List.for_all Fun.id results)
 
 (* Micro-benchmarks of the substrate the experiments lean on. *)
-let micro_heap () =
-  let h = Ba_util.Heap.create ~cmp:compare () in
-  for i = 0 to 999 do
-    Ba_util.Heap.push h ((i * 7919) mod 1000)
-  done;
-  while Ba_util.Heap.pop h <> None do
-    ()
-  done
-
 let micro_reconstruct () =
   let acc = ref 0 in
   for x = 0 to 999 do
@@ -190,7 +181,6 @@ let workloads ~jobs =
     ("F5/transfer-reuse-5pc", reuse_transfer);
     ("S1/fabric-16-flows", fabric_transfer 16);
     ("P1/pool-campaign-8x20", pool_campaign jobs);
-    ("micro/heap-1k", micro_heap);
     ("micro/reconstruct-1k", micro_reconstruct);
     ("micro/rng-int-1k", micro_rng);
   ]
@@ -588,36 +578,18 @@ let soak_campaign ~quick ~jobs =
     let data_plan, ack_plan = Chaos.plans_for Chaos.Storm ~seed in
     let sq = Chaos.squeeze_for ~seed in
     let crash_plan = Chaos.crash_plan_for ~seed in
+    (* The squeeze hits every flow; the crash plan hits flow 0. *)
     let specs =
-      List.map
-        (fun (s : Fabric.spec) ->
-          { s with Fabric.config = fst (Chaos.apply_squeeze sq s.Fabric.config) })
+      List.mapi
+        (fun i (s : Fabric.spec) ->
+          let config = fst (Chaos.apply_squeeze sq s.Fabric.config) in
+          { s with Fabric.config; crash_plan = (if i = 0 then crash_plan else []) })
         specs
-    in
-    let on_flows engine (flows : Ba_proto.Flow.t array) =
-      if Array.length flows > 0 && Ba_proto.Flow.crash_tolerant flows.(0) then
-        List.iter
-          (fun (ev : Ba_proto.Crash_plan.event) ->
-            let crash, restart =
-              match ev.Ba_proto.Crash_plan.endpoint with
-              | Ba_proto.Crash_plan.Sender_end ->
-                  (Ba_proto.Flow.crash_sender, Ba_proto.Flow.restart_sender)
-              | Ba_proto.Crash_plan.Receiver_end ->
-                  (Ba_proto.Flow.crash_receiver, Ba_proto.Flow.restart_receiver)
-            in
-            ignore
-              (Ba_sim.Engine.schedule_at engine ~at:ev.Ba_proto.Crash_plan.at (fun () ->
-                   crash flows.(0)));
-            ignore
-              (Ba_sim.Engine.schedule_at engine
-                 ~at:(ev.Ba_proto.Crash_plan.at + ev.Ba_proto.Crash_plan.down_for)
-                 (fun () -> restart flows.(0))))
-          crash_plan
     in
     let r =
       Fabric.run ~seed ~data_plan ~ack_plan
         ~data_bottleneck:(sq.Chaos.service_time, sq.Chaos.queue_capacity)
-        ~memory_budget:(need * 3 / 4) ~watchdog ~on_flows specs
+        ~memory_budget:(need * 3 / 4) ~watchdog specs
     in
     assert r.Ba_proto.Fabric.completed;
     let rs = Qsketch.create () in

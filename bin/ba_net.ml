@@ -253,44 +253,25 @@ let run_soak ~rounds ~mix ~messages ~payload_size ~loss ~ack_loss ~delay ~capaci
               specs,
             Some (sq.Chaos.service_time, sq.Chaos.queue_capacity) )
     in
-    let on_flows engine (flows : Ba_proto.Flow.t array) =
-      if Array.length flows > victim_index && Ba_proto.Flow.crash_tolerant flows.(victim_index)
-      then begin
-        let victim = flows.(victim_index) in
-        ignore
-          (Ba_sim.Engine.schedule_at engine ~at:(surge_at + 100) (fun () ->
-               Ba_proto.Flow.crash_receiver victim));
-        ignore
-          (Ba_sim.Engine.schedule_at engine ~at:(surge_at + 100 + stall_for) (fun () ->
-               Ba_proto.Flow.restart_receiver victim))
-      end;
-      match crash_plan with
-      | None -> ()
-      | Some plan ->
-          if Array.length flows > 0 && Ba_proto.Flow.crash_tolerant flows.(0) then begin
-            let target = flows.(0) in
-            List.iter
-              (fun (ev : Ba_proto.Crash_plan.event) ->
-                let crash, restart =
-                  match ev.Ba_proto.Crash_plan.endpoint with
-                  | Ba_proto.Crash_plan.Sender_end ->
-                      (Ba_proto.Flow.crash_sender, Ba_proto.Flow.restart_sender)
-                  | Ba_proto.Crash_plan.Receiver_end ->
-                      (Ba_proto.Flow.crash_receiver, Ba_proto.Flow.restart_receiver)
-                in
-                ignore
-                  (Ba_sim.Engine.schedule_at engine ~at:ev.Ba_proto.Crash_plan.at (fun () ->
-                       crash target));
-                ignore
-                  (Ba_sim.Engine.schedule_at engine
-                     ~at:(ev.Ba_proto.Crash_plan.at + ev.Ba_proto.Crash_plan.down_for)
-                     (fun () -> restart target)))
-              plan
-          end
+    (* Process faults: the stall victim's receiver goes dark for
+       [stall_for] ticks and the fault class's crash plan hits flow 0;
+       protocols without a crash lifecycle are spared both. *)
+    let specs =
+      List.mapi
+        (fun i (s : Fabric.spec) ->
+          let (module P : Ba_proto.Protocol.S) = s.Fabric.protocol in
+          let stall =
+            if i = victim_index then
+              [ { Ba_proto.Crash_plan.at = surge_at + 100; endpoint = Receiver_end;
+                  down_for = stall_for } ]
+            else []
+          in
+          let plan = if i = 0 then Option.value ~default:[] crash_plan else [] in
+          if P.crash_tolerant then { s with Fabric.crash_plan = stall @ plan } else s)
+        specs
     in
     Fabric.run ~seed:rseed ~data_loss:loss ~ack_loss ~data_delay:delay ~ack_delay:delay
-      ?data_bottleneck:bottleneck ?data_plan ?ack_plan ~memory_budget:budget ~watchdog ~on_flows
-      specs
+      ?data_bottleneck:bottleneck ?data_plan ?ack_plan ~memory_budget:budget ~watchdog specs
   in
   (* Lazy so that a round failing outright (impossible budget) errors
      before anything is printed, as the buffered table used to. *)

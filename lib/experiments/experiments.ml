@@ -1073,36 +1073,18 @@ let s3_churn_soak ?(jobs = 1) ~quick () =
         let data_plan, ack_plan = Chaos.plans_for Chaos.Storm ~seed in
         let sq = Chaos.squeeze_for ~seed in
         let crash_plan = Chaos.crash_plan_for ~seed in
+        (* The squeeze hits every flow; the crash plan hits flow 0. *)
         let specs =
-          List.map
-            (fun (s : Fabric.spec) ->
-              { s with Fabric.config = fst (Chaos.apply_squeeze sq s.Fabric.config) })
+          List.mapi
+            (fun i (s : Fabric.spec) ->
+              let config = fst (Chaos.apply_squeeze sq s.Fabric.config) in
+              { s with Fabric.config; crash_plan = (if i = 0 then crash_plan else []) })
             specs
-        in
-        let on_flows engine (flows : Ba_proto.Flow.t array) =
-          if Array.length flows > 0 && Ba_proto.Flow.crash_tolerant flows.(0) then
-            List.iter
-              (fun (ev : Ba_proto.Crash_plan.event) ->
-                let crash, restart =
-                  match ev.Ba_proto.Crash_plan.endpoint with
-                  | Ba_proto.Crash_plan.Sender_end ->
-                      (Ba_proto.Flow.crash_sender, Ba_proto.Flow.restart_sender)
-                  | Ba_proto.Crash_plan.Receiver_end ->
-                      (Ba_proto.Flow.crash_receiver, Ba_proto.Flow.restart_receiver)
-                in
-                ignore
-                  (Ba_sim.Engine.schedule_at engine ~at:ev.Ba_proto.Crash_plan.at (fun () ->
-                       crash flows.(0)));
-                ignore
-                  (Ba_sim.Engine.schedule_at engine
-                     ~at:(ev.Ba_proto.Crash_plan.at + ev.Ba_proto.Crash_plan.down_for)
-                     (fun () -> restart flows.(0))))
-              crash_plan
         in
         let r =
           Fabric.run ~seed ~data_plan ~ack_plan
             ~data_bottleneck:(sq.Chaos.service_time, sq.Chaos.queue_capacity)
-            ~memory_budget:budget ~watchdog ~on_flows specs
+            ~memory_budget:budget ~watchdog specs
         in
         let cohort keep =
           match List.filteri (fun i _ -> keep i) r.Fabric.flows with

@@ -1,5 +1,6 @@
-(** N-connection simulation fabric: many {!Flow}s — any mix of protocols
-    — multiplexed over one shared data link and one shared ack link.
+(** N-connection simulation fabric: one {!Flow_table} of flows — any
+    mix of protocols — multiplexed over one shared data link and one
+    shared ack link.
 
     This is the scaling counterpart of {!Harness}: where the harness
     gives a single connection two private links, the fabric makes every
@@ -8,39 +9,25 @@
     contention, fairness and aggregate-throughput questions need. Wire
     messages travel tagged with their flow id; the tag acts as a
     link-layer address, so injected corruption mangles frames but never
-    the demultiplexing.
-
-    The fabric is also where overload is handled: a [memory_budget]
-    turns on admission control with graceful degradation (refuse new
-    flows, clamp existing windows — never OOM), and a [watchdog] config
-    arms a per-flow liveness machine that resyncs stalled flows through
-    the crash-restart handshake and quarantines repeat offenders off the
-    shared links (see {!Watchdog}).
+    the demultiplexing. Overload is handled here too: see
+    [memory_budget] and [watchdog] below.
 
     A run is a pure function of [seed]: links split the engine's random
-    stream in creation order, flows are created in spec order (sender
-    then receiver, as in the harness), and same-tick events fire in
-    scheduling order. *)
+    stream in creation order, then the table creates and schedules its
+    flows in spec order, and same-tick events fire in scheduling order.
+    Its counters are exactly those of a one-cell {!Shard} run at
+    [seed - 104729] (QCheck-pinned in [test_shard.ml]). *)
 
-type spec = {
+type spec = Flow_table.spec = {
   protocol : Protocol.t;
   config : Proto_config.t;
-  messages : int;  (** payloads this flow offers *)
+  messages : int;
   payload_size : int;
   start_at : int;
-      (** tick at which this flow starts offering traffic (0 = from the
-          beginning). Late starters model a traffic surge hitting a
-          running fabric; they still participate in admission control
-          up front, so the memory guarantee covers the surge peak. *)
   stop_at : int option;
-      (** tick at which this flow departs, finished or not ([None] = it
-          stays until it completes). At [stop_at] the flow's demux slot,
-          tx gate and watchdog slot are released and its buffered bytes
-          stop counting toward the fabric's memory — the reservation is
-          reclaimed, and admission control (which reasons about peak
-          {e concurrent} cost over the [start_at, stop_at) intervals)
-          can hand it to a later arrival. *)
+  crash_plan : Crash_plan.t;
 }
+(** One flow of the fabric; see {!Flow_table.spec}. *)
 
 val spec :
   ?config:Proto_config.t ->
@@ -51,7 +38,7 @@ val spec :
   Protocol.t ->
   spec
 (** Defaults: [Proto_config.default], 100 messages, 32-byte payloads,
-    [start_at = 0], no [stop_at]. *)
+    [start_at = 0], no [stop_at], no crash plan. *)
 
 type result = {
   ticks : int;  (** simulated time until every flow finished (or the deadline) *)
@@ -59,7 +46,7 @@ type result = {
       (** every admitted flow reached a normal end of life: delivered
           and acknowledged everything, or departed on its [stop_at]
           schedule *)
-  flows : Flow.result list;
+  flows : Harness.result list;
       (** per-flow verdicts for the {e admitted} flows, in spec order.
           The record is the same one {!Harness.run} returns, so
           chaos/safety checks written against harness output apply to
@@ -93,20 +80,6 @@ val jain : float list -> float
     allocation, [1/n] is one flow hoarding everything. 1.0 on degenerate
     input (empty list, or all zeros). *)
 
-val flow_cost : spec -> clamp:int -> int
-(** Worst-case payload bytes one flow can pin under a window clamp:
-    [2 · min window clamp · payload_size] (retransmit buffer plus
-    reassembly window). The admission unit of account. *)
-
-val plan_admission : budget:int -> spec list -> spec list * int * int option
-(** [plan_admission ~budget specs] is the graceful-degradation decision
-    {!run} applies for [memory_budget]: [(admitted, refused, clamp)] —
-    everyone unclamped if peak concurrent cost fits; else everyone under
-    the largest uniform window clamp that fits; else clamp 1 and the
-    longest spec prefix that fits, the rest refused. Raises
-    [Invalid_argument] when not even one clamped flow fits. Exported so
-    {!Shard} can make the {e same} decision cell-locally. *)
-
 val run :
   ?seed:int ->
   ?data_loss:float ->
@@ -120,8 +93,6 @@ val run :
   ?deadline:int ->
   ?memory_budget:int ->
   ?watchdog:Watchdog.config ->
-  ?on_setup:(Ba_sim.Engine.t -> unit) ->
-  ?on_flows:(Ba_sim.Engine.t -> Flow.t array -> unit) ->
   spec list ->
   result
 (** [run specs] drives every flow to completion (or to the deadline,
@@ -129,19 +100,12 @@ val run :
     Defaults mirror {!Harness.run}: seed 42, no loss, delay
     [Uniform (40, 60)] both ways.
 
-    [memory_budget] (bytes) bounds the worst-case payload memory the
-    whole fabric can pin (each flow is charged
-    [2 · effective_window · payload_size]: retransmit buffer plus
-    reassembly window). The bound is on peak {e concurrent} cost: flows
-    whose [start_at, stop_at) intervals never overlap share one
-    reservation, so a departure makes room for a later arrival that a
-    lifetime-sum accounting would have refused. Degradation is graceful
-    and in preference order: admit everyone unclamped if the budget
-    allows; else admit everyone under the largest uniform window clamp
-    that fits (enforced both by {!Flow.clamp_window} on the sender and
-    by rewriting the receiver's [rx_budget]); else clamp to 1 and admit
-    the longest spec prefix that fits, refusing the rest. Raises
-    [Invalid_argument] when not even one clamped flow fits.
+    [memory_budget] (bytes) turns on {!Flow_table} admission: a bound
+    on the worst-case payload bytes the whole fabric can pin at any
+    instant, so a departure makes room for a later arrival. It degrades
+    gracefully — unclamped, else a uniform window clamp, else clamp 1
+    and a refused spec suffix — and raises [Invalid_argument] when not
+    even one clamped flow fits.
 
     [data_plan]/[ack_plan] attach a scheduled {!Ba_channel.Fault_plan}
     to the shared links — the fabric-scale analogue of the harness's
@@ -149,19 +113,10 @@ val run :
     Each plan instantiates against a fresh split of its link's random
     stream, so plan-free runs are byte-identical to before.
 
-    [watchdog] arms a per-flow {!Watchdog}: every [check_interval]
-    ticks each started, unfinished flow is checked for delivery
-    progress; stalled flows are resynced via crash+restart of their
-    sender (the REQ/POS/FIN handshake), and repeat offenders are
-    quarantined — their frames are gated off the shared links until
+    [watchdog] arms a per-flow {!Watchdog}: stalled flows are resynced
+    via crash+restart of their sender (the REQ/POS/FIN handshake), and
+    repeat offenders are quarantined off the shared links until
     probation ends, so the other [n−1] flows keep their throughput.
-
-    [on_flows] is called once after every flow is created and before any
-    traffic is pumped, with the flows in spec order — the hook for
-    scheduling process faults against a {e single} flow (e.g.
-    {!Flow.crash_receiver} at a chosen tick) to check that one
-    endpoint's crash cannot stall or corrupt the other [n-1] flows
-    sharing the links.
 
     [data_bottleneck]/[ack_bottleneck] are [(service_time, queue_capacity)]
     pairs for the shared links — the contended resource. Without one the

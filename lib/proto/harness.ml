@@ -1,4 +1,4 @@
-type result = Flow.result = {
+type result = {
   protocol : string;
   completed : bool;
   ticks : int;
@@ -38,66 +38,107 @@ type setup = {
   ack_link : Wire.ack Ba_channel.Link.t;
 }
 
-let run (module P : Protocol.S) ?(seed = 42) ?(messages = 1000) ?(payload_size = 32)
+let zero_stats =
+  {
+    Ba_channel.Link.sent = 0;
+    delivered = 0;
+    dropped = 0;
+    queue_dropped = 0;
+    reordered = 0;
+    duplicated = 0;
+    corrupted = 0;
+    outage_drops = 0;
+  }
+
+let flow_result tbl i ?data_stats ?ack_stats ~ticks () =
+  let module T = Flow_table in
+  let sp = T.spec tbl i in
+  let (module P : Protocol.S) = sp.T.protocol in
+  let own n = { zero_stats with Ba_channel.Link.sent = n } in
+  let dstats = Option.value data_stats ~default:(own (T.data_sent tbl i)) in
+  let astats = Option.value ack_stats ~default:(own (T.acks_sent tbl i)) in
+  let delivered = T.delivered tbl i in
+  let payload_bytes_delivered = delivered * sp.T.payload_size in
+  let lat = T.latency tbl i in
+  {
+    protocol = P.name;
+    completed = T.is_complete tbl i;
+    ticks;
+    messages = sp.T.messages;
+    delivered;
+    duplicates = T.duplicates tbl i;
+    misordered = T.misordered tbl i;
+    corrupted = T.corrupted tbl i;
+    data_sent = dstats.Ba_channel.Link.sent;
+    data_dropped = dstats.Ba_channel.Link.dropped;
+    data_queue_dropped = dstats.Ba_channel.Link.queue_dropped;
+    data_reordered = dstats.Ba_channel.Link.reordered;
+    data_duplicated = dstats.Ba_channel.Link.duplicated;
+    data_corrupted = dstats.Ba_channel.Link.corrupted;
+    data_outage_drops = dstats.Ba_channel.Link.outage_drops;
+    acks_sent = astats.Ba_channel.Link.sent;
+    acks_dropped = astats.Ba_channel.Link.dropped;
+    acks_corrupted = astats.Ba_channel.Link.corrupted;
+    ack_outage_drops = astats.Ba_channel.Link.outage_drops;
+    retransmissions = T.retransmissions tbl i;
+    goodput = (if ticks = 0 then 0. else float_of_int delivered *. 1000. /. float_of_int ticks);
+    latency = (if Ba_util.Stats.count lat = 0 then None else Some (Ba_util.Stats.summary lat));
+    latencies = Ba_util.Stats.samples lat;
+    ack_overhead =
+      (if payload_bytes_delivered = 0 then 0.
+       else
+         float_of_int (astats.Ba_channel.Link.sent * P.ack_wire_bytes)
+         /. float_of_int payload_bytes_delivered);
+    efficiency =
+      (if dstats.Ba_channel.Link.sent = 0 then 0.
+       else float_of_int delivered /. float_of_int dstats.Ba_channel.Link.sent);
+    crashes = T.crashes tbl i;
+    restarts = T.restarts tbl i;
+    resync_rounds = T.resync_rounds tbl i;
+    resync_ticks = T.resync_ticks tbl i ~ticks;
+    retx_bytes = T.retx_bytes tbl i;
+    pressure_drops = T.pressure_drops tbl i;
+  }
+
+let run protocol ?(seed = 42) ?(messages = 1000) ?(payload_size = 32)
     ?(config = Proto_config.default) ?(data_loss = 0.) ?(ack_loss = 0.)
     ?(data_delay = Ba_channel.Dist.Uniform (40, 60)) ?(ack_delay = Ba_channel.Dist.Uniform (40, 60))
     ?data_bottleneck ?data_plan ?ack_plan ?(crash_plan = Crash_plan.none) ?deadline ?on_setup () =
-  Proto_config.validate config;
-  Crash_plan.validate crash_plan;
-  let engine = Ba_sim.Engine.create ~seed () in
-  let deadline =
-    match deadline with
-    | Some d -> d
-    | None ->
-        (* Generous: every message could need several timeouts even at
-           heavy loss before the run is declared stuck. *)
-        (max 1 messages * config.Proto_config.rto * 20) + 1_000_000
+  let spec =
+    { Flow_table.protocol; config; messages; payload_size; start_at = 0; stop_at = None;
+      crash_plan }
   in
-  let flow = ref None in
+  Flow_table.validate ~who:"Harness.run" ~budget:None [ spec ];
+  let engine = Ba_sim.Engine.create ~seed () in
+  let tbl = ref None in
   let data_link =
     Ba_channel.Link.create engine ~loss:data_loss ~delay:data_delay ?bottleneck:data_bottleneck
       ~corrupt:Wire.corrupt_data ~release:Wire.release_data
-      ~deliver:(fun d -> match !flow with Some f -> Flow.on_data f d | None -> ())
+      ~deliver:(fun d -> match !tbl with Some t -> Flow_table.on_data t 0 d | None -> ())
       ()
   in
   let ack_link =
     Ba_channel.Link.create engine ~loss:ack_loss ~delay:ack_delay
       ~corrupt:Wire.corrupt_ack ~release:Wire.release_ack
-      ~deliver:(fun a -> match !flow with Some f -> Flow.on_ack f a | None -> ())
+      ~deliver:(fun a -> match !tbl with Some t -> Flow_table.on_ack t 0 a | None -> ())
       ()
   in
   Option.iter (Ba_channel.Link.set_plan data_link) data_plan;
   Option.iter (Ba_channel.Link.set_plan ack_link) ack_plan;
-  let f =
-    Flow.create engine
-      (module P)
-      ~seed ~messages ~payload_size ~config
-      ~data_tx:(Ba_channel.Link.send data_link)
-      ~ack_tx:(Ba_channel.Link.send ack_link)
-      ~on_complete:(fun () -> Ba_sim.Engine.stop engine)
-      ()
+  let t =
+    Flow_table.create engine
+      ~workload_seed:(fun _ -> seed)
+      ~latency:Flow_table.Per_flow ~budget:None ~watchdog:None
+      ~data_tx:(fun _ d -> Ba_channel.Link.send data_link d)
+      ~ack_tx:(fun _ a -> Ba_channel.Link.send ack_link a)
+      [ spec ]
   in
-  flow := Some f;
-  (* Process faults: each event schedules a crash and, [down_for] ticks
-     later, the matching restart. *)
-  List.iter
-    (fun (e : Crash_plan.event) ->
-      let crash, restart =
-        match e.Crash_plan.endpoint with
-        | Crash_plan.Sender_end -> (Flow.crash_sender, Flow.restart_sender)
-        | Crash_plan.Receiver_end -> (Flow.crash_receiver, Flow.restart_receiver)
-      in
-      ignore (Ba_sim.Engine.schedule_at engine ~at:e.Crash_plan.at (fun () -> crash f));
-      ignore
-        (Ba_sim.Engine.schedule_at engine ~at:(e.Crash_plan.at + e.Crash_plan.down_for)
-           (fun () -> restart f)))
-    crash_plan;
-  (match on_setup with
-  | Some g -> g { engine; data_link; ack_link }
-  | None -> ());
-  Flow.pump f;
+  tbl := Some t;
+  Option.iter (fun g -> g { engine; data_link; ack_link }) on_setup;
+  Flow_table.start t;
+  let deadline = match deadline with Some d -> d | None -> Flow_table.deadline t in
   Ba_sim.Engine.run ~until:deadline engine;
-  Flow.result f
+  flow_result t 0
     ~data_stats:(Ba_channel.Link.stats data_link)
     ~ack_stats:(Ba_channel.Link.stats ack_link)
     ~ticks:(Ba_sim.Engine.now engine) ()

@@ -1,16 +1,16 @@
 (** Experiment harness: one sender, one receiver, two lossy links.
 
-    [run] wires a single {!Flow} into a fresh simulation over two private
-    links, drives a {!Workload} of [messages] payloads through it, and
-    reports both performance (ticks, goodput, overhead) and correctness
+    [run] is a one-flow {!Flow_table} on two private links: it drives a
+    {!Workload} of [messages] payloads through one protocol and reports
+    both performance (ticks, goodput, overhead) and correctness
     (duplicates, misordering, corruption) — the latter must be zero for a
     correct protocol and is deliberately *not* zero for the broken
     baselines the paper warns about. For many connections over a shared
-    link, see {!Fabric}; [result] is the same record ({!Flow.result}), so
-    every check written against harness output also reads fabric
-    output. *)
+    link, see {!Fabric}, whose per-flow verdicts are this same record
+    (built by {!flow_result}), so every check written against harness
+    output also reads fabric output. *)
 
-type result = Flow.result = {
+type result = {
   protocol : string;
   completed : bool;  (** all payloads delivered and acknowledged *)
   ticks : int;  (** simulated time consumed *)
@@ -93,6 +93,20 @@ val run :
     [crash_plan] schedules endpoint process faults: each event crashes
     the named endpoint at its tick and restarts it [down_for] ticks
     later (see {!Crash_plan}); requires a crash-tolerant protocol. *)
+
+val flow_result :
+  Flow_table.t ->
+  int ->
+  ?data_stats:Ba_channel.Link.stats ->
+  ?ack_stats:Ba_channel.Link.stats ->
+  ticks:int ->
+  unit ->
+  result
+(** Flow [i]'s verdict over [ticks] ticks. [data_stats] / [ack_stats]
+    attribute link counters (drops, reorderings, injected faults) when
+    the flow ran over private links; without them the link fields fall
+    back to the flow's own send counts and zeros, which is all a shared
+    link can attribute to one flow. *)
 
 val pp_result : Format.formatter -> result -> unit
 

@@ -1,10 +1,8 @@
 (** Sharded fabric: 100k–1M concurrent flows in bounded memory.
 
-    {!Fabric} wires every flow into one engine through one pair of
-    shared links — exact, but O(flows) events interleave in one event
-    loop and every flow carries a {!Flow.t} (dozens of closures, a
-    latency sample list), which tops out around a few thousand flows.
-    The shard runner rebuilds the same model for scale:
+    {!Fabric} runs every flow in one engine through one pair of shared
+    links — exact, but O(flows) events interleave in one event loop.
+    The shard runner splits the same model for scale:
 
     {ul
     {- {b Cells.} Flows are partitioned by spec order into fixed-size
@@ -23,12 +21,11 @@
        an epoch cells are independent, so epochs fan out over a
        {!Ba_parallel.Pool}; [shards] controls how many contiguous cell
        groups become pool tasks.}
-    {- {b Flat accounting.} Per-flow state is flat arrays (delivered /
-       next-expected / workload cursors / gating bitsets) plus one
-       mergeable {!Ba_util.Qsketch} per cell for latency — no
-       {!Flow.t}, no per-flow sample lists. The only per-flow heap
-       objects are the protocol endpoints themselves and four one-word
-       wiring closures (data tx, ack tx, deliver, payload pull).}}
+    {- {b One table per cell.} Each cell is a {!Flow_table} — the same
+       flat flow core {!Harness} and {!Fabric} run on — reporting
+       latency into one mergeable {!Ba_util.Qsketch} per cell. A
+       one-cell run at [seed] counts exactly what {!Fabric.run} counts
+       at [seed + 104729] (QCheck-pinned in [test_shard.ml]).}}
 
     {b Determinism.} The model is fixed by [(specs, seed, cell,
     barrier, capacity, …)]; [shards] and [jobs] only schedule cells
@@ -103,12 +100,9 @@ val run :
     above): a cell's base lease is its flow-count share of the rate and
     at least one frame per epoch; its queue share at least 4 slots.
 
-    [memory_budget] splits by flow-count share into per-cell budgets and
-    each cell runs {!Fabric.plan_admission} locally — same
-    unclamped/clamp/refuse ladder, shard-local state only. [watchdog]
-    arms a per-flow liveness machine per cell (observation loop on the
-    cell's own engine): stalls resync via crash+restart, repeat
-    offenders are gated off the cell's links.
+    [memory_budget] splits by flow-count share into per-cell budgets;
+    each cell's table admits under its share and runs its own
+    [watchdog] on its own engine (see {!Flow_table.create}).
 
     [plans_for ~cell_seed] attaches scheduled fault plans (data, ack) to
     each cell's links — the storm hook; [cell_seed] is derived from

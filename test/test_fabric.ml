@@ -88,9 +88,6 @@ let test_jain () =
 (* Single-flow endpoint failure: a crash inside one flow must be invisible
    to the other n-1 flows sharing the links. *)
 
-module Flow = Ba_proto.Flow
-module Engine = Ba_sim.Engine
-
 (* Four blockack-multi flows; flow 0's receiver crashes mid-transfer and
    restarts 400 ticks later. *)
 let crash_specs ~messages =
@@ -99,12 +96,12 @@ let crash_specs ~messages =
   List.init 4 (fun _ -> Fabric.spec ~config ~messages e.Registry.protocol)
 
 let run_with_crash ~seed ~victim specs =
+  let crash_plan =
+    [ { Ba_proto.Crash_plan.at = 600; endpoint = Receiver_end; down_for = 400 } ]
+  in
   Fabric.run ~seed ~data_loss:0.05 ~ack_loss:0.05 ~data_delay:(Dist.Uniform (40, 80))
     ~ack_delay:(Dist.Uniform (40, 80)) ~data_bottleneck:(3, 16)
-    ~on_flows:(fun engine flows ->
-      ignore (Engine.schedule_at engine ~at:600 (fun () -> Flow.crash_receiver flows.(victim)));
-      ignore (Engine.schedule_at engine ~at:1000 (fun () -> Flow.restart_receiver flows.(victim))))
-    specs
+    (List.mapi (fun i (s : Fabric.spec) -> if i = victim then { s with crash_plan } else s) specs)
 
 let test_single_flow_crash_isolated () =
   List.iter

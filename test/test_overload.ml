@@ -10,11 +10,9 @@ let qcheck = QCheck_alcotest.to_alcotest
 module Chaos = Ba_verify.Chaos
 module Harness = Ba_proto.Harness
 module Fabric = Ba_proto.Fabric
-module Flow = Ba_proto.Flow
 module Watchdog = Ba_proto.Watchdog
 module Registry = Ba_registry.Registry
 module Config = Ba_proto.Proto_config
-module Engine = Ba_sim.Engine
 
 let entry name =
   match Registry.find name with
@@ -226,18 +224,23 @@ let s2_budget =
 
 let s2_watchdog = { Watchdog.default_config with Watchdog.check_interval = 500 }
 
-let s2_stall_victim engine (flows : Flow.t array) =
-  let victim = flows.(s2_base_flows) in
-  ignore
-    (Engine.schedule_at engine ~at:(s2_surge_at + 100) (fun () -> Flow.crash_receiver victim));
-  ignore
-    (Engine.schedule_at engine ~at:(s2_surge_at + 100 + s2_stall_for) (fun () ->
-         Flow.restart_receiver victim))
+(* The first surge flow's receiver goes dark for [s2_stall_for] ticks. *)
+let s2_stall_victim specs =
+  List.mapi
+    (fun i (s : Fabric.spec) ->
+      if i <> s2_base_flows then s
+      else
+        let stall =
+          { Ba_proto.Crash_plan.at = s2_surge_at + 100; endpoint = Receiver_end;
+            down_for = s2_stall_for }
+        in
+        { s with Fabric.crash_plan = [ stall ] })
+    specs
 
 let test_s2_surge_acceptance () =
   let surged =
     Fabric.run ~seed:7 ~data_loss:0.01 ~ack_loss:0.01 ~memory_budget:s2_budget
-      ~watchdog:s2_watchdog ~on_flows:s2_stall_victim (s2_specs ())
+      ~watchdog:s2_watchdog (s2_stall_victim (s2_specs ()))
   in
   (* 1. Memory stays under budget through the surge peak. *)
   check Alcotest.bool
@@ -276,7 +279,7 @@ let test_s2_surge_acceptance () =
 let test_s2_deterministic () =
   let run () =
     Fabric.run ~seed:11 ~data_loss:0.02 ~ack_loss:0.02 ~memory_budget:s2_budget
-      ~watchdog:s2_watchdog ~on_flows:s2_stall_victim (s2_specs ())
+      ~watchdog:s2_watchdog (s2_stall_victim (s2_specs ()))
   in
   check Alcotest.bool "same seed, same surge run" true (run () = run ())
 

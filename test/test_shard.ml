@@ -189,6 +189,100 @@ let test_storm_churn_shard_sweep () =
         (run_scenario sc ~shards ~jobs))
     [ (2, 1); (3, 4); (7, 2); (16, 3) ]
 
+(* ------------------------------------------------------------------ *)
+(* Equivalence: a Fabric run is one shard cell *)
+
+(* [Fabric.run ~seed:(s + 104729)] and [Shard.run ~seed:s] with a single
+   cell seed the same engine and run the same flow table over the same
+   uncontended tagged links, so every counter the cell reports must
+   match the fabric's. Only the workload seeds differ, and payload
+   contents never steer the protocols. *)
+let test_fabric_is_one_cell =
+  let protos = [| "blockack-multi"; "blockack-simple"; "selective-repeat"; "go-back-n" |] in
+  let gen =
+    QCheck.Gen.(
+      let flow =
+        let* p = int_bound (Array.length protos - 1) in
+        let* window = int_range 4 8 in
+        let* messages = int_range 3 12 in
+        let* start_at = oneof [ return 0; int_range 1 400 ] in
+        let* stay = opt (int_range 500 3000) in
+        return (p, window, messages, start_at, stay)
+      in
+      let* seed = int_range 1 1000 in
+      let* flows = list_size (int_range 1 8) flow in
+      let* lossy = bool in
+      let* jitter = bool in
+      let* budget_pct = opt (int_range 30 100) in
+      let* watchdog = bool in
+      return (seed, flows, lossy, jitter, budget_pct, watchdog))
+  in
+  let print (seed, flows, lossy, jitter, budget_pct, watchdog) =
+    Printf.sprintf "seed=%d flows=[%s] lossy=%b jitter=%b budget=%s watchdog=%b" seed
+      (String.concat "; "
+         (List.map
+            (fun (p, w, m, st, stay) ->
+              Printf.sprintf "%s w=%d m=%d start=%d stay=%s" protos.(p) w m st
+                (match stay with Some d -> string_of_int d | None -> "-"))
+            flows))
+      lossy jitter
+      (match budget_pct with Some b -> string_of_int b ^ "%" | None -> "-")
+      watchdog
+  in
+  qcheck
+    (QCheck.Test.make ~count:300 ~name:"Fabric.run is a one-cell Shard.run"
+       (QCheck.make ~print gen)
+       (fun (seed, flows, lossy, jitter, budget_pct, watchdog) ->
+         let specs =
+           List.map
+             (fun (p, window, messages, start_at, stay) ->
+               let e = entry protos.(p) in
+               let config = Registry.config ~window ~rto:600 e () in
+               Fabric.spec ~config ~messages ~start_at
+                 ?stop_at:(Option.map (fun d -> start_at + d) stay)
+                 e.Registry.protocol)
+             flows
+         in
+         let need =
+           List.fold_left
+             (fun a (s : Fabric.spec) ->
+               a + (2 * s.Fabric.config.Ba_proto.Proto_config.window * s.Fabric.payload_size))
+             0 specs
+         in
+         let memory_budget = Option.map (fun pct -> need * pct / 100) budget_pct in
+         let loss = if lossy then 0.2 else 0. in
+         let delay = if jitter then Dist.Uniform (20, 180) else Dist.Uniform (40, 60) in
+         let watchdog = if watchdog then Some Ba_proto.Watchdog.default_config else None in
+         let f =
+           Fabric.run ~seed:(seed + 104729) ~data_loss:loss ~ack_loss:loss ~data_delay:delay
+             ~ack_delay:delay ?memory_budget ?watchdog ~deadline:60_000 specs
+         in
+         let s =
+           Shard.run ~seed ~jobs:1 ~cell:(List.length specs) ~data_loss:loss ~ack_loss:loss
+             ~data_delay:delay ~ack_delay:delay ?memory_budget ?watchdog ~deadline:60_000 specs
+         in
+         let sum g = List.fold_left (fun a r -> a + g r) 0 f.Fabric.flows in
+         let fabric =
+           [ sum (fun r -> r.Ba_proto.Harness.delivered);
+             sum (fun r -> r.Ba_proto.Harness.data_sent);
+             sum (fun r -> r.Ba_proto.Harness.acks_sent);
+             sum (fun r -> r.Ba_proto.Harness.retransmissions); f.Fabric.ticks;
+             Bool.to_int f.Fabric.completed;
+             sum (fun r -> Bool.to_int r.Ba_proto.Harness.completed);
+             f.Fabric.departed; f.Fabric.mem_peak_bytes; f.Fabric.watchdog_resyncs;
+             f.Fabric.quarantine_events ]
+         in
+         let shard =
+           [ s.Shard.delivered; s.Shard.data_sent; s.Shard.acks_sent; s.Shard.retransmissions;
+             s.Shard.ticks; Bool.to_int s.Shard.completed; s.Shard.completed_flows;
+             s.Shard.departed; s.Shard.mem_peak_bytes; s.Shard.watchdog_resyncs;
+             s.Shard.quarantine_events ]
+         in
+         fabric = shard
+         || QCheck.Test.fail_reportf "fabric %s <> shard %s"
+              (String.concat "," (List.map string_of_int fabric))
+              (String.concat "," (List.map string_of_int shard))))
+
 let () =
   Alcotest.run "shard"
     [
@@ -199,6 +293,7 @@ let () =
             test_capacity_lease_run_completes;
           Alcotest.test_case "budget admission is cell-local" `Quick
             test_budget_admission_is_cell_local;
+          test_fabric_is_one_cell;
         ] );
       ( "determinism",
         [
