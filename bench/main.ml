@@ -556,41 +556,11 @@ let check () =
    the JSON artefact, so soak-path regressions show up across commits. *)
 let soak_campaign ~quick ~jobs =
   let module Fabric = Ba_proto.Fabric in
-  let module Chaos = Ba_verify.Chaos in
   let module Qsketch = Ba_util.Qsketch in
   let rounds = if quick then 4 else 8 in
   let messages = if quick then 20 else 40 in
-  let watchdog =
-    { Ba_proto.Watchdog.default_config with Ba_proto.Watchdog.check_interval = 500 }
-  in
   let run_round round =
-    let seed = 42 + round in
-    let specs =
-      Fabric.churn ~churners:2 ~messages ~config:Chaos.robust_config ~seed
-        Blockack.Protocols.multi
-    in
-    let need =
-      List.fold_left
-        (fun a (s : Fabric.spec) ->
-          a + (2 * s.Fabric.config.Ba_proto.Proto_config.window * s.Fabric.payload_size))
-        0 specs
-    in
-    let data_plan, ack_plan = Chaos.plans_for Chaos.Storm ~seed in
-    let sq = Chaos.squeeze_for ~seed in
-    let crash_plan = Chaos.crash_plan_for ~seed in
-    (* The squeeze hits every flow; the crash plan hits flow 0. *)
-    let specs =
-      List.mapi
-        (fun i (s : Fabric.spec) ->
-          let config = fst (Chaos.apply_squeeze sq s.Fabric.config) in
-          { s with Fabric.config; crash_plan = (if i = 0 then crash_plan else []) })
-        specs
-    in
-    let r =
-      Fabric.run ~seed ~data_plan ~ack_plan
-        ~data_bottleneck:(sq.Chaos.service_time, sq.Chaos.queue_capacity)
-        ~memory_budget:(need * 3 / 4) ~watchdog specs
-    in
+    let _, r = Experiments.churn_storm_round ~churners:2 ~messages ~seed:(42 + round) () in
     assert r.Ba_proto.Fabric.completed;
     let rs = Qsketch.create () in
     List.iter

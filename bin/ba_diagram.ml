@@ -12,8 +12,6 @@
 
 open Cmdliner
 
-type sender_ops = { pump : unit -> unit; on_ack : Ba_proto.Wire.ack -> unit; done_ : unit -> bool }
-
 let run messages loss jitter window coalesce simple kill_first_ack seed from_time until_time =
   let base = 50 in
   let delay =
@@ -45,7 +43,7 @@ let run messages loss jitter window coalesce simple kill_first_ack seed from_tim
     Ba_channel.Link.create engine ~loss ~delay
       ~deliver:(fun (a : Ba_proto.Wire.ack) ->
         trace Ba_trace.Tracer.Sender "ACK (%d,%d) <-" a.Ba_proto.Wire.lo a.Ba_proto.Wire.hi;
-        match !sender_cell with Some s -> s.on_ack a | None -> ())
+        match !sender_cell with Some s -> Blockack.Sender.on_ack s a | None -> ())
       ()
   in
   (* Random losses on the data link are visible as sends that never show
@@ -68,33 +66,17 @@ let run messages loss jitter window coalesce simple kill_first_ack seed from_tim
     Ba_channel.Link.send ack_link a
   in
   let deliver payload = trace Ba_trace.Tracer.Receiver "deliver %S" payload in
-  let sender =
-    if simple then begin
-      let s = Blockack.Sender.create engine config ~tx:tx_data ~next_payload in
-      {
-        pump = (fun () -> Blockack.Sender.pump s);
-        on_ack = Blockack.Sender.on_ack s;
-        done_ = (fun () -> Blockack.Sender.is_done s);
-      }
-    end
-    else begin
-      let s = Blockack.Sender_multi.create engine config ~tx:tx_data ~next_payload in
-      {
-        pump = (fun () -> Blockack.Sender_multi.pump s);
-        on_ack = Blockack.Sender_multi.on_ack s;
-        done_ = (fun () -> Blockack.Sender_multi.is_done s);
-      }
-    end
-  in
+  let design = if simple then Blockack.Sender.Simple else Blockack.Sender.Multi in
+  let sender = Blockack.Sender.create engine config ~design ~tx:tx_data ~next_payload in
   sender_cell := Some sender;
   receiver_cell := Some (Blockack.Receiver.create engine config ~tx:tx_ack ~deliver);
-  sender.pump ();
+  Blockack.Sender.pump sender;
   Ba_sim.Engine.run ~until:(max 100_000 (messages * rto * 30)) engine;
   print_string
     (Ba_trace.Tracer.render ~from_time
        ~until_time:(Option.value ~default:max_int until_time)
        tracer);
-  if sender.done_ () then begin
+  if Blockack.Sender.is_done sender then begin
     Printf.printf "transfer of %d messages complete\n" messages;
     0
   end

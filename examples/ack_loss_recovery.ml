@@ -1,5 +1,5 @@
 (* Ack-loss recovery, on the wire: build a tiny transfer by hand out of
-   Sender/Sender_multi + Receiver, kill the one block acknowledgment that
+   a Sender + Receiver, kill the one block acknowledgment that
    covers the whole window, and render time-sequence diagrams of how each
    timeout design recovers (the paper's Section II vs Section IV).
 
@@ -16,9 +16,7 @@ let config =
   Blockack.Config.make ~window:8 ~rto ~wire_modulus:(Some 16) ~ack_coalesce:20
     ~max_transit:50 ()
 
-type sender_ops = { pump : unit -> unit; on_ack : Wire.ack -> unit; done_ : unit -> bool }
-
-let run_one style =
+let run_one design =
   let engine = Engine.create ~seed:5 () in
   let tracer = Ba_trace.Tracer.create () in
   let trace side fmt =
@@ -39,7 +37,7 @@ let run_one style =
     Link.create engine ~delay:(Ba_channel.Dist.Constant 50)
       ~deliver:(fun a ->
         trace Ba_trace.Tracer.Sender "ACK (%d,%d) <-" a.Wire.lo a.Wire.hi;
-        match !sender_cell with Some s -> s.on_ack a | None -> ())
+        match !sender_cell with Some s -> Blockack.Sender.on_ack s a | None -> ())
       ()
   in
   (* The fault: drop the first acknowledgment — it will be the coalesced
@@ -61,29 +59,13 @@ let run_one style =
     Link.send ack_link a
   in
   let deliver payload = trace Ba_trace.Tracer.Receiver "deliver %S" payload in
-  let sender =
-    match style with
-    | `Simple ->
-        let s = Blockack.Sender.create engine config ~tx:tx_data ~next_payload in
-        {
-          pump = (fun () -> Blockack.Sender.pump s);
-          on_ack = Blockack.Sender.on_ack s;
-          done_ = (fun () -> Blockack.Sender.is_done s);
-        }
-    | `Multi ->
-        let s = Blockack.Sender_multi.create engine config ~tx:tx_data ~next_payload in
-        {
-          pump = (fun () -> Blockack.Sender_multi.pump s);
-          on_ack = Blockack.Sender_multi.on_ack s;
-          done_ = (fun () -> Blockack.Sender_multi.is_done s);
-        }
-  in
+  let sender = Blockack.Sender.create engine config ~design ~tx:tx_data ~next_payload in
   sender_cell := Some sender;
   receiver_cell :=
     Some (Blockack.Receiver.create engine config ~tx:tx_ack ~deliver);
-  sender.pump ();
+  Blockack.Sender.pump sender;
   Engine.run ~until:3_000 engine;
-  assert (sender.done_ ());
+  assert (Blockack.Sender.is_done sender);
   (Ba_trace.Tracer.render tracer, Engine.now engine)
 
 let () =
@@ -91,13 +73,13 @@ let () =
     "Transfer of %d messages; the single block ack covering them is lost.\n\
      rto = %d ticks, one-way delay 50 ticks, receiver coalesces acks for 20 ticks.\n\n"
     block rto;
-  let simple_trace, _ = run_one `Simple in
+  let simple_trace, _ = run_one Blockack.Sender.Simple in
   print_endline "--- Section II sender: one timer, resend the window base ---";
   print_string simple_trace;
   print_endline
     "Each timeout recovers ONE message (the duplicate ack only advances na by one),\n\
      so the lost block costs about block * rto ticks.\n";
-  let multi_trace, _ = run_one `Multi in
+  let multi_trace, _ = run_one Blockack.Sender.Multi in
   print_endline "--- Section IV sender: a timer per outstanding message ---";
   print_string multi_trace;
   print_endline

@@ -32,7 +32,7 @@ let () =
   let fwd_sender_cell = ref None in
   let fwd_ack =
     Ba_channel.Link.create engine ~loss:0.1 ~delay
-      ~deliver:(fun a -> Option.iter (fun s -> Blockack.Sender_multi.on_ack s a) !fwd_sender_cell)
+      ~deliver:(fun a -> Option.iter (fun s -> Blockack.Sender.on_ack s a) !fwd_sender_cell)
       ()
   in
   (* Reverse path: server -> client. *)
@@ -45,18 +45,18 @@ let () =
   let rev_sender_cell = ref None in
   let rev_ack =
     Ba_channel.Link.create engine ~loss:0.1 ~delay
-      ~deliver:(fun a -> Option.iter (fun s -> Blockack.Sender_multi.on_ack s a) !rev_sender_cell)
+      ~deliver:(fun a -> Option.iter (fun s -> Blockack.Sender.on_ack s a) !rev_sender_cell)
       ()
   in
 
   let client_outbox = Queue.create () and server_outbox = Queue.create () in
   let fwd_sender =
-    Blockack.Sender_multi.create engine config
+    Blockack.Sender.create engine config ~design:Blockack.Sender.Multi
       ~tx:(Ba_channel.Link.send fwd_data)
       ~next_payload:(fun () -> Queue.take_opt client_outbox)
   in
   let rev_sender =
-    Blockack.Sender_multi.create engine config
+    Blockack.Sender.create engine config ~design:Blockack.Sender.Multi
       ~tx:(Ba_channel.Link.send rev_data)
       ~next_payload:(fun () -> Queue.take_opt server_outbox)
   in
@@ -75,7 +75,7 @@ let () =
            | [ "square"; n ] ->
                let i = int_of_string n in
                Queue.add (Printf.sprintf "%d %d" i (i * i)) server_outbox;
-               Blockack.Sender_multi.pump rev_sender
+               Blockack.Sender.pump rev_sender
            | _ -> failwith ("bad request: " ^ req)));
 
   (* Client: track issue times, validate answers, measure latency. *)
@@ -106,7 +106,7 @@ let () =
              Hashtbl.replace issue_time i (Ba_sim.Engine.now engine);
              Queue.add (Printf.sprintf "square %d" i) client_outbox
            done;
-           Blockack.Sender_multi.pump fwd_sender))
+           Blockack.Sender.pump fwd_sender))
   done;
   Ba_sim.Engine.run ~until:10_000_000 engine;
 

@@ -52,17 +52,18 @@ let protocol : Ba_proto.Protocol.t =
   (module struct
     let name = "selective-repeat"
 
-    type sender = Blockack.Sender_multi.t
+    type sender = Blockack.Sender.t
     type nonrec receiver = receiver
 
-    let create_sender = Blockack.Sender_multi.create
+    let create_sender engine config ~tx ~next_payload =
+      Blockack.Sender.create engine config ~design:Blockack.Sender.Multi ~tx ~next_payload
     let create_receiver = create_receiver
-    let sender_on_ack = Blockack.Sender_multi.on_ack
+    let sender_on_ack = Blockack.Sender.on_ack
     let receiver_on_data = receiver_on_data
-    let sender_pump = Blockack.Sender_multi.pump
-    let sender_done = Blockack.Sender_multi.is_done
-    let sender_outstanding = Blockack.Sender_multi.outstanding
-    let sender_retransmissions = Blockack.Sender_multi.retransmissions
+    let sender_pump = Blockack.Sender.pump
+    let sender_done = Blockack.Sender.is_done
+    let sender_outstanding = Blockack.Sender.outstanding
+    let sender_retransmissions = Blockack.Sender.retransmissions
     let ack_wire_bytes = Wire.ack_bytes_single
 
     include Ba_proto.Protocol.No_crash (struct

@@ -11,22 +11,12 @@ type stats = {
   ticks : int;
 }
 
-(* The two sender flavours behind one record of closures. *)
-type sender_ops = {
-  pump : unit -> unit;
-  on_ack : Ba_proto.Wire.ack -> unit;
-  retransmissions : unit -> int;
-  outstanding : unit -> int;
-  crash : unit -> unit;
-  restart : unit -> unit;
-}
-
 type t = {
   engine : Ba_sim.Engine.t;
   queue : string Queue.t;
   mutable submitted : int;
   delivered : int ref;
-  sender : sender_ops;
+  sender : Sender.t;
   data_link : Ba_proto.Wire.data Ba_channel.Link.t;
   ack_link : Ba_proto.Wire.ack Ba_channel.Link.t;
   receiver : Receiver.t;
@@ -51,36 +41,13 @@ let create ?(seed = 42) ?(config = default_config) ?(timeout_style = Per_message
   let ack_link =
     Ba_channel.Link.create engine ~loss:ack_loss ~delay:ack_delay
       ~deliver:(fun a ->
-        match !sender_cell with Some ops -> ops.on_ack a | None -> ())
+        match !sender_cell with Some s -> Sender.on_ack s a | None -> ())
       ()
   in
-  let next_payload () = Queue.take_opt queue in
+  let design = match timeout_style with Simple -> Sender.Simple | Per_message -> Sender.Multi in
   let sender =
-    match timeout_style with
-    | Simple ->
-        let s =
-          Sender.create engine config ~tx:(Ba_channel.Link.send data_link) ~next_payload
-        in
-        {
-          pump = (fun () -> Sender.pump s);
-          on_ack = Sender.on_ack s;
-          retransmissions = (fun () -> Sender.retransmissions s);
-          outstanding = (fun () -> Sender.outstanding s);
-          crash = (fun () -> Sender.crash s);
-          restart = (fun () -> Sender.restart s);
-        }
-    | Per_message ->
-        let s =
-          Sender_multi.create engine config ~tx:(Ba_channel.Link.send data_link) ~next_payload
-        in
-        {
-          pump = (fun () -> Sender_multi.pump s);
-          on_ack = Sender_multi.on_ack s;
-          retransmissions = (fun () -> Sender_multi.retransmissions s);
-          outstanding = (fun () -> Sender_multi.outstanding s);
-          crash = (fun () -> Sender_multi.crash s);
-          restart = (fun () -> Sender_multi.restart s);
-        }
+    Sender.create engine config ~design ~tx:(Ba_channel.Link.send data_link)
+      ~next_payload:(fun () -> Queue.take_opt queue)
   in
   sender_cell := Some sender;
   let receiver =
@@ -95,10 +62,10 @@ let create ?(seed = 42) ?(config = default_config) ?(timeout_style = Per_message
 let send t msg =
   t.submitted <- t.submitted + 1;
   Queue.add msg t.queue;
-  t.sender.pump ()
+  Sender.pump t.sender
 
 let idle t =
-  !(t.delivered) = t.submitted && t.sender.outstanding () = 0 && Queue.is_empty t.queue
+  !(t.delivered) = t.submitted && Sender.outstanding t.sender = 0 && Queue.is_empty t.queue
 
 let run ?until t =
   match until with
@@ -111,11 +78,11 @@ let engine t = t.engine
    application test can kill one side mid-transfer. Restarting the
    sender re-pumps, so payloads still queued resume once the resync
    handshake (if any) settles. *)
-let crash_sender t = t.sender.crash ()
+let crash_sender t = Sender.crash t.sender
 
 let restart_sender t =
-  t.sender.restart ();
-  t.sender.pump ()
+  Sender.restart t.sender;
+  Sender.pump t.sender
 
 let crash_receiver t = Receiver.crash t.receiver
 let restart_receiver t = Receiver.restart t.receiver
@@ -129,6 +96,6 @@ let stats t =
     data_sent = d.Ba_channel.Link.sent;
     data_dropped = d.Ba_channel.Link.dropped;
     acks_sent = Receiver.acks_sent t.receiver;
-    retransmissions = t.sender.retransmissions ();
+    retransmissions = Sender.retransmissions t.sender;
     ticks = Ba_sim.Engine.now t.engine;
   }

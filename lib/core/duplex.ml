@@ -20,7 +20,7 @@ type endpoint = {
   mutable submitted : int;
   mutable delivered : int;
   mutable link : frame Ba_channel.Link.t option;  (* tied after both endpoints exist *)
-  mutable sender : Sender_multi.t option;
+  mutable sender : Sender.t option;
   mutable receiver : Receiver.t option;
   (* The newest unflushed block acknowledgment for the reverse direction,
      waiting for a data frame to ride on. *)
@@ -106,7 +106,7 @@ let on_frame e frame =
         e.receiver
   | None -> ());
   match frame.pack with
-  | Some a -> Option.iter (fun s -> Sender_multi.on_ack s a) e.sender
+  | Some a -> Option.iter (fun s -> Sender.on_ack s a) e.sender
   | None -> ()
 
 let make_endpoint engine =
@@ -138,7 +138,7 @@ let create ?(seed = 42) ?(config = default_config) ?(piggyback_hold = 15) ?(loss
   let wire_endpoint e on_receive =
     e.sender <-
       Some
-        (Sender_multi.create engine config ~tx:(tx_data e)
+        (Sender.create engine config ~design:Sender.Multi ~tx:(tx_data e)
            ~next_payload:(fun () -> Queue.take_opt e.queue));
     e.receiver <-
       Some
@@ -161,10 +161,10 @@ let b t = t.eb
 let send e msg =
   e.submitted <- e.submitted + 1;
   Queue.add msg e.queue;
-  Option.iter Sender_multi.pump e.sender
+  Option.iter Sender.pump e.sender
 
 let endpoint_idle e =
-  (match e.sender with Some s -> Sender_multi.outstanding s = 0 | None -> true)
+  (match e.sender with Some s -> Sender.outstanding s = 0 | None -> true)
   && Queue.is_empty e.queue
 
 let idle t =
@@ -185,7 +185,7 @@ let stats e =
     data_frames = e.data_frames;
     pure_ack_frames = e.pure_ack_frames;
     piggybacked_acks = e.piggybacked_acks;
-    retransmissions = (match e.sender with Some s -> Sender_multi.retransmissions s | None -> 0);
+    retransmissions = (match e.sender with Some s -> Sender.retransmissions s | None -> 0);
   }
 
 let engine t = t.engine

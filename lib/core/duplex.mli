@@ -4,7 +4,7 @@
     channel. Deployed window protocols (the paper cites ARPAnet, SNA, the
     ISO standard) run data both ways and piggyback acknowledgments on
     reverse-direction data frames. This module composes one
-    {!Sender_multi} and one {!Receiver} per side into such a session:
+    {!Sender} and one {!Receiver} per side into such a session:
 
     - every outbound data frame carries the latest pending block
       acknowledgment for the opposite direction, for free;

@@ -13,63 +13,55 @@ module Common_receiver = struct
   let receiver_pressure_dropped = Receiver.pressure_dropped
 end
 
-module Simple : Ba_proto.Protocol.S = struct
-  let name = "blockack-simple"
-
+(* Everything of the sender half but its creation and its name. *)
+module Common_sender = struct
   type sender = Sender.t
 
-  include Common_receiver
-
-  let create_sender = Sender.create
   let sender_on_ack = Sender.on_ack
   let sender_pump = Sender.pump
   let sender_done = Sender.is_done
-  let sender_outstanding = Sender.outstanding
   let sender_retransmissions = Sender.retransmissions
-  let crash_tolerant = true
-  let sender_crash = Sender.crash
-  let sender_restart = Sender.restart
-  let sender_resync_rounds = Sender.resync_rounds
   let sender_mem_bytes = Sender.buffered_bytes
-  let sender_clamp_window = Sender.clamp_window
 end
 
-module Multi : Ba_proto.Protocol.S = struct
-  let name = "blockack-multi"
+(* Sections II and IV: the same crash-tolerant, clampable endpoint pair
+   with the design's timer discipline. *)
+let windowed name design : Ba_proto.Protocol.t =
+  (module struct
+    let name = name
 
-  type sender = Sender_multi.t
+    include Common_sender
+    include Common_receiver
 
-  include Common_receiver
+    (* Applied in full: a partial application would allocate curried
+       closures for every sender a fabric creates. *)
+    let create_sender engine config ~tx ~next_payload =
+      Sender.create engine config ~design ~tx ~next_payload
 
-  let create_sender = Sender_multi.create
-  let sender_on_ack = Sender_multi.on_ack
-  let sender_pump = Sender_multi.pump
-  let sender_done = Sender_multi.is_done
-  let sender_outstanding = Sender_multi.outstanding
-  let sender_retransmissions = Sender_multi.retransmissions
-  let crash_tolerant = true
-  let sender_crash = Sender_multi.crash
-  let sender_restart = Sender_multi.restart
-  let sender_resync_rounds = Sender_multi.resync_rounds
-  let sender_mem_bytes = Sender_multi.buffered_bytes
-  let sender_clamp_window = Sender_multi.clamp_window
-end
+    let sender_outstanding = Sender.outstanding
+    let crash_tolerant = true
+    let sender_crash = Sender.crash
+    let sender_restart = Sender.restart
+    let sender_resync_rounds = Sender.resync_rounds
+    let sender_clamp_window = Sender.clamp_window
+  end)
 
-let simple : Ba_proto.Protocol.t = (module Simple)
-let multi : Ba_proto.Protocol.t = (module Multi)
+let simple = windowed "blockack-simple" Sender.Simple
+let multi = windowed "blockack-multi" Sender.Multi
 
 let reuse ?(lead_factor = 2) () : Ba_proto.Protocol.t =
   if lead_factor < 1 then invalid_arg "Protocols.reuse: lead_factor must be >= 1";
   (module struct
     let name = Printf.sprintf "blockack-reuse(x%d)" lead_factor
 
-    type sender = Reuse_sender.t
+    include Common_sender
+
     type receiver = Receiver.t
 
     let lead config = lead_factor * config.Ba_proto.Proto_config.window
 
     let create_sender engine config ~tx ~next_payload =
-      Reuse_sender.create engine config ~lead:(lead config) ~tx ~next_payload
+      Sender.create engine config ~design:(Sender.Reuse { lead = lead config }) ~tx ~next_payload
 
     (* The receiver must accept (and buffer) the whole flight band, so it
        runs with the widened window. *)
@@ -78,16 +70,14 @@ let reuse ?(lead_factor = 2) () : Ba_proto.Protocol.t =
         { config with Ba_proto.Proto_config.window = lead config }
         ~tx ~deliver
 
-    let sender_on_ack = Reuse_sender.on_ack
     let receiver_on_data = Receiver.on_data
-    let sender_pump = Reuse_sender.pump
-    let sender_done = Reuse_sender.is_done
-    let sender_outstanding = Reuse_sender.outstanding
-    let sender_retransmissions = Reuse_sender.retransmissions
+
+    (* The window bounds unacknowledged messages; the band runs ahead. *)
+    let sender_outstanding = Sender.unacked
     let ack_wire_bytes = Ba_proto.Wire.ack_bytes_block
 
-    (* The slot-reuse sender has no crash story yet (its lead window
-       would need its own resync argument); the stub raises. *)
+    (* Slot reuse has no crash story yet (its lead window would need its
+       own resync argument); the stub raises. *)
     include Ba_proto.Protocol.No_crash (struct
       let name = name
 
@@ -95,9 +85,8 @@ let reuse ?(lead_factor = 2) () : Ba_proto.Protocol.t =
       type nonrec receiver = receiver
     end)
 
-    (* Memory is still observable even without a clamp path: the reuse
-       sender buffers the whole lead band. *)
-    let sender_mem_bytes = Reuse_sender.buffered_bytes
+    (* Memory is still observable even without a clamp path: the sender
+       buffers the whole lead band. *)
     let receiver_mem_bytes = Receiver.buffered_bytes
     let sender_clamp_window (_ : sender) (_ : int) = ()
     let receiver_pressure_dropped = Receiver.pressure_dropped

@@ -10,7 +10,7 @@
     {- [rttvar <- (1 - b) * rttvar + b * |srtt - sample|] with [b = 1/4]}
     {- [rto = srtt + 4 * rttvar], clamped to [[floor, ceiling]].}}
 
-    Used by {!Sender_multi} when the configuration asks for adaptive
+    Used by {!Sender} when the configuration asks for adaptive
     timeouts; safe to use standalone. *)
 
 type t

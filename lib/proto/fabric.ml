@@ -72,7 +72,7 @@ let run ?(seed = 42) ?(data_loss = 0.) ?(ack_loss = 0.)
   Option.iter (Ba_channel.Link.set_plan data_link) data_plan;
   Option.iter (Ba_channel.Link.set_plan ack_link) ack_plan;
   let t =
-    Flow_table.create engine
+    Flow_table.create engine ~who:"Fabric.run"
       ~workload_seed:(fun i -> seed + (7919 * (i + 1)))
       ~latency:Flow_table.Per_flow ~budget:memory_budget ~watchdog
       ~data_tx:(fun i d -> Ba_channel.Link.send data_link (i, d))

@@ -61,7 +61,7 @@ let peak_cost ~clamp specs =
    everyone unclamped; else everyone under the largest uniform window
    clamp that fits; else clamp to 1 and the longest spec prefix that
    fits, refusing the rest. *)
-let plan_admission ~budget specs =
+let plan_admission ~who ~budget specs =
   let max_w = List.fold_left (fun acc s -> max acc s.config.Proto_config.window) 1 specs in
   let rec fit c = if c >= 1 && peak_cost ~clamp:c specs > budget then fit (c - 1) else c in
   let c = fit max_w in
@@ -75,7 +75,7 @@ let plan_admission ~budget specs =
           else split (s :: admitted) rest
     in
     let admitted, refused = split [] specs in
-    if admitted = [] then invalid_arg "Fabric.run: memory_budget admits no flow";
+    if admitted = [] then invalid_arg (who ^ ": memory_budget admits no flow");
     (admitted, refused, Some 1)
   end
 
@@ -385,11 +385,11 @@ let rec sample_every t () =
   sample_mem t;
   if t.remaining > 0 then ignore (Engine.schedule t.engine ~delay:500 (sample_every t))
 
-let create engine ~workload_seed ~latency ~budget ~watchdog ~data_tx ~ack_tx specs =
+let create engine ~who ~workload_seed ~latency ~budget ~watchdog ~data_tx ~ack_tx specs =
   let specs, refused, clamp =
     match budget with
     | None -> (specs, 0, None)
-    | Some budget -> plan_admission ~budget specs
+    | Some budget -> plan_admission ~who ~budget specs
   in
   let specs = Array.of_list specs in
   let specs = match clamp with None -> specs | Some c -> Array.map (clamp_rx c) specs in
@@ -514,9 +514,9 @@ let crashes t i = match t.recovery.(i) with Some r -> r.crashes | None -> 0
 let restarts t i = match t.recovery.(i) with Some r -> r.restarts | None -> 0
 let resync_rounds t i = (grp t i).g_resync_rounds t.gslot.(i)
 
-let resync_ticks t i ~ticks =
+let resync_ticks t i ~upto =
   match t.recovery.(i) with
   | None -> None
   | Some r ->
-      charge r ~upto:ticks;
+      charge r ~upto;
       if Stats.count r.resync = 0 then None else Some (Stats.summary r.resync)

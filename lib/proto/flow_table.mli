@@ -63,6 +63,7 @@ type t
 
 val create :
   Ba_sim.Engine.t ->
+  who:string ->
   workload_seed:(int -> int) ->
   latency:latency ->
   budget:int option ->
@@ -78,7 +79,8 @@ val create :
     sends through [data_tx i] / [ack_tx i] unless it is gated
     (quarantined or departed), in which case the frame is released.
     When the last admitted flow completes or departs the engine is
-    stopped. Nothing is sent before {!start}.
+    stopped. Nothing is sent before {!start}. [who] names the caller's
+    entry point in admission errors.
 
     Admission bounds the worst-case payload bytes the table can pin,
     charging each flow [2 · min window clamp · payload_size] (retransmit
@@ -159,6 +161,6 @@ val crashes : t -> int -> int
 val restarts : t -> int -> int
 val resync_rounds : t -> int -> int
 
-val resync_ticks : t -> int -> ticks:int -> Ba_util.Stats.summary option
+val resync_ticks : t -> int -> upto:int -> Ba_util.Stats.summary option
 (** Per-restart recovery times; a restart that no delivery resolved is
-    charged up to [ticks]. *)
+    charged up to the absolute tick [upto]. *)

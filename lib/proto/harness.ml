@@ -95,7 +95,9 @@ let flow_result tbl i ?data_stats ?ack_stats ~ticks () =
     crashes = T.crashes tbl i;
     restarts = T.restarts tbl i;
     resync_rounds = T.resync_rounds tbl i;
-    resync_ticks = T.resync_ticks tbl i ~ticks;
+    (* Restart ticks are absolute; the flow's tenancy ends [ticks] after
+       its start. *)
+    resync_ticks = T.resync_ticks tbl i ~upto:(sp.T.start_at + ticks);
     retx_bytes = T.retx_bytes tbl i;
     pressure_drops = T.pressure_drops tbl i;
   }
@@ -126,7 +128,7 @@ let run protocol ?(seed = 42) ?(messages = 1000) ?(payload_size = 32)
   Option.iter (Ba_channel.Link.set_plan data_link) data_plan;
   Option.iter (Ba_channel.Link.set_plan ack_link) ack_plan;
   let t =
-    Flow_table.create engine
+    Flow_table.create engine ~who:"Harness.run"
       ~workload_seed:(fun _ -> seed)
       ~latency:Flow_table.Per_flow ~budget:None ~watchdog:None
       ~data_tx:(fun _ d -> Ba_channel.Link.send data_link d)

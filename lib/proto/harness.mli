@@ -102,11 +102,12 @@ val flow_result :
   ticks:int ->
   unit ->
   result
-(** Flow [i]'s verdict over [ticks] ticks. [data_stats] / [ack_stats]
-    attribute link counters (drops, reorderings, injected faults) when
-    the flow ran over private links; without them the link fields fall
-    back to the flow's own send counts and zeros, which is all a shared
-    link can attribute to one flow. *)
+(** Flow [i]'s verdict over the [ticks] ticks from its start tick (an
+    unresolved restart is charged up to the end of that span).
+    [data_stats] / [ack_stats] attribute link counters (drops,
+    reorderings, injected faults) when the flow ran over private links;
+    without them the link fields fall back to the flow's own send counts
+    and zeros, which is all a shared link can attribute to one flow. *)
 
 val pp_result : Format.formatter -> result -> unit
 

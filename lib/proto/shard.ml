@@ -172,7 +172,7 @@ let build_cell ~seed ~cell_index ~flow_base ~barrier ~data_loss ~ack_loss ~data_
   let latency = Ba_util.Qsketch.create () in
   let offer link lease v = match !lease with Some l -> lease_offer l v | None -> Link.send link v in
   let t =
-    Flow_table.create engine
+    Flow_table.create engine ~who:"Shard.run"
       ~workload_seed:(fun i -> seed + (7919 * (flow_base + i + 1)))
       ~latency:(Flow_table.Sketch latency) ~budget:cell_budget ~watchdog
       ~data_tx:(fun i d -> offer data_link data_lease (i, d))

@@ -137,12 +137,12 @@ let payloads n = Ba_proto.Workload.supplier ~seed:0 ~size:8 ~count:n
 let drain q = List.of_seq (Seq.unfold (fun () -> Option.map (fun x -> (x, ())) (Queue.take_opt q)) ())
 
 (* ------------------------------------------------------------------ *)
-(* Sender (Section II) *)
+(* Sender, Simple design (Section II) *)
 
 let test_sender_pump_fills_window () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Simple ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 10)
   in
   Blockack.Sender.pump s;
@@ -155,7 +155,7 @@ let test_sender_pump_fills_window () =
 let test_sender_block_ack_advances () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Simple ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 10)
   in
   Blockack.Sender.pump s;
@@ -169,7 +169,7 @@ let test_sender_block_ack_advances () =
 let test_sender_out_of_order_ack_blocks () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Simple ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 10)
   in
   Blockack.Sender.pump s;
@@ -182,7 +182,7 @@ let test_sender_out_of_order_ack_blocks () =
 let test_sender_duplicate_ack_ignored () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Simple ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 10)
   in
   Blockack.Sender.pump s;
@@ -195,7 +195,7 @@ let test_sender_duplicate_ack_ignored () =
 let test_sender_timeout_resends_na () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Simple ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 4)
   in
   Blockack.Sender.pump s;
@@ -209,7 +209,7 @@ let test_sender_timeout_resends_na () =
 let test_sender_timer_stops_when_idle () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Simple ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 2)
   in
   Blockack.Sender.pump s;
@@ -222,7 +222,7 @@ let test_sender_timer_stops_when_idle () =
 let test_sender_wire_encoding () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Simple ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 10)
   in
   Blockack.Sender.pump s;
@@ -396,32 +396,32 @@ let test_receiver_flush_forces_pending () =
   check Alcotest.int "no double flush" 1 (Queue.length p.sent_acks)
 
 (* ------------------------------------------------------------------ *)
-(* Sender_multi (Section IV) *)
+(* Sender, Multi design (Section IV) *)
 
 let test_multi_individual_timers () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender_multi.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Multi ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 4)
   in
-  Blockack.Sender_multi.pump s;
+  Blockack.Sender.pump s;
   Queue.clear p.sent_data;
   (* Ack only message 1: timers 0, 2, 3 stay armed; 1's is cancelled. *)
-  Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:(1) ~hi:(1));
+  Blockack.Sender.on_ack s (Wire.make_ack ~lo:(1) ~hi:(1));
   Engine.run ~until:150 p.engine;
   let resent = List.map (fun d -> d.Wire.seq) (drain p.sent_data) in
   check (Alcotest.list Alcotest.int) "burst resend of unacked" [ 0; 2; 3 ] resent;
-  check Alcotest.int "three retransmissions" 3 (Blockack.Sender_multi.retransmissions s)
+  check Alcotest.int "three retransmissions" 3 (Blockack.Sender.retransmissions s)
 
 let test_multi_lost_block_ack_recovery_is_burst () =
   (* All four are outstanding and their (lost) acks never arrive: all four
      timers fire within one timeout period — not serialized. *)
   let p = make_pipe () in
   let s =
-    Blockack.Sender_multi.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Multi ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 4)
   in
-  Blockack.Sender_multi.pump s;
+  Blockack.Sender.pump s;
   Queue.clear p.sent_data;
   Engine.run ~until:101 p.engine;
   check Alcotest.int "all four resent within one rto" 4 (Queue.length p.sent_data)
@@ -429,27 +429,27 @@ let test_multi_lost_block_ack_recovery_is_burst () =
 let test_multi_ack_stops_timer () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender_multi.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Multi ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 2)
   in
-  Blockack.Sender_multi.pump s;
-  Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:(0) ~hi:(1));
+  Blockack.Sender.pump s;
+  Blockack.Sender.on_ack s (Wire.make_ack ~lo:(0) ~hi:(1));
   Queue.clear p.sent_data;
   Engine.run ~until:1_000 p.engine;
   check Alcotest.int "no retransmissions after full ack" 0 (Queue.length p.sent_data);
-  check Alcotest.bool "done" true (Blockack.Sender_multi.is_done s)
+  check Alcotest.bool "done" true (Blockack.Sender.is_done s)
 
 let test_multi_done_only_when_exhausted_and_acked () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender_multi.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Multi ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 6)
   in
-  Blockack.Sender_multi.pump s;
-  check Alcotest.bool "not done while outstanding" false (Blockack.Sender_multi.is_done s);
-  Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:(0) ~hi:(3));
-  Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:(4) ~hi:(5));
-  check Alcotest.bool "done after final ack" true (Blockack.Sender_multi.is_done s)
+  Blockack.Sender.pump s;
+  check Alcotest.bool "not done while outstanding" false (Blockack.Sender.is_done s);
+  Blockack.Sender.on_ack s (Wire.make_ack ~lo:(0) ~hi:(3));
+  Blockack.Sender.on_ack s (Wire.make_ack ~lo:(4) ~hi:(5));
+  check Alcotest.bool "done after final ack" true (Blockack.Sender.is_done s)
 
 (* ------------------------------------------------------------------ *)
 (* Wire checksums and corruption handling *)
@@ -491,36 +491,36 @@ let test_receiver_drops_corrupt_data () =
 let test_multi_drops_corrupt_ack () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender_multi.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Multi ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 4)
   in
-  Blockack.Sender_multi.pump s;
-  Blockack.Sender_multi.on_ack s (Wire.corrupt_ack (Wire.make_ack ~lo:0 ~hi:3));
-  check Alcotest.int "window not advanced by corrupt ack" 0 (Blockack.Sender_multi.na s);
-  check Alcotest.int "drop counted" 1 (Blockack.Sender_multi.corrupt_acks_dropped s);
-  Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:0 ~hi:3);
-  check Alcotest.int "clean ack still works" 4 (Blockack.Sender_multi.na s)
+  Blockack.Sender.pump s;
+  Blockack.Sender.on_ack s (Wire.corrupt_ack (Wire.make_ack ~lo:0 ~hi:3));
+  check Alcotest.int "window not advanced by corrupt ack" 0 (Blockack.Sender.na s);
+  check Alcotest.int "drop counted" 1 (Blockack.Sender.corrupt_acks_dropped s);
+  Blockack.Sender.on_ack s (Wire.make_ack ~lo:0 ~hi:3);
+  check Alcotest.int "clean ack still works" 4 (Blockack.Sender.na s)
 
 (* ------------------------------------------------------------------ *)
-(* Karn's rule in Sender_multi (both halves) *)
+(* Karn's rule in the Multi sender (both halves) *)
 
 let adaptive_config = Config.make ~window:4 ~rto:100 ~adaptive_rto:true ()
 
 let test_multi_karn_backoff_not_collapse () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender_multi.create p.engine adaptive_config
+    Blockack.Sender.create p.engine adaptive_config ~design:Multi
       ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 8)
   in
-  Blockack.Sender_multi.pump s;
+  Blockack.Sender.pump s;
   (* Four clean samples of rtt = 10 pull the adaptive rto far below the
      configured 100 (unbounded wire numbers have no soundness floor). *)
   ignore
     (Engine.schedule p.engine ~delay:10 (fun () ->
-         Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:0 ~hi:3)));
+         Blockack.Sender.on_ack s (Wire.make_ack ~lo:0 ~hi:3)));
   Engine.run ~until:11 p.engine;
-  let r0 = Blockack.Sender_multi.rto_now s in
+  let r0 = Blockack.Sender.rto_now s in
   check Alcotest.bool "estimator adapted below configured rto" true (r0 < 100);
   (* Messages 4..7 (pumped at t = 10) now all expire in one burst with no
      acks in sight. Karn's first half means none of their later acks may
@@ -529,31 +529,31 @@ let test_multi_karn_backoff_not_collapse () =
      gated to the oldest outstanding message: one doubling per burst, not
      2^w. *)
   Engine.run ~until:(10 + r0 + 2) p.engine;
-  check Alcotest.int "whole window expired once" 4 (Blockack.Sender_multi.retransmissions s);
-  check Alcotest.int "rto doubled exactly once" (2 * r0) (Blockack.Sender_multi.rto_now s)
+  check Alcotest.int "whole window expired once" 4 (Blockack.Sender.retransmissions s);
+  check Alcotest.int "rto doubled exactly once" (2 * r0) (Blockack.Sender.rto_now s)
 
 let test_multi_karn_excludes_retransmit_samples () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender_multi.create p.engine adaptive_config
+    Blockack.Sender.create p.engine adaptive_config ~design:Multi
       ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 8)
   in
-  Blockack.Sender_multi.pump s;
+  Blockack.Sender.pump s;
   ignore
     (Engine.schedule p.engine ~delay:10 (fun () ->
-         Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:0 ~hi:3)));
+         Blockack.Sender.on_ack s (Wire.make_ack ~lo:0 ~hi:3)));
   Engine.run ~until:11 p.engine;
-  let srtt_before = Blockack.Sender_multi.srtt s in
-  let r0 = Blockack.Sender_multi.rto_now s in
+  let srtt_before = Blockack.Sender.srtt s in
+  let r0 = Blockack.Sender.rto_now s in
   (* Let 4..7 retransmit, then acknowledge 4 long after: the wildly late
      "sample" (ambiguous — first copy or retransmission?) must not touch
      the smoothed estimate. *)
   Engine.run ~until:(10 + r0 + 2) p.engine;
-  Blockack.Sender_multi.on_ack s (Wire.make_ack ~lo:4 ~hi:4);
+  Blockack.Sender.on_ack s (Wire.make_ack ~lo:4 ~hi:4);
   check
     (Alcotest.option (Alcotest.float 1e-9))
-    "retransmitted message left srtt untouched" srtt_before (Blockack.Sender_multi.srtt s)
+    "retransmitted message left srtt untouched" srtt_before (Blockack.Sender.srtt s)
 
 (* ------------------------------------------------------------------ *)
 (* Rtt_estimator backoff regression *)
@@ -639,7 +639,7 @@ let test_guard_retry_fires_at_expiry () =
 let test_sender_respects_frontier () =
   let p = make_pipe () in
   let s =
-    Blockack.Sender.create p.engine config_w4 ~tx:(fun d -> Queue.add d p.sent_data)
+    Blockack.Sender.create p.engine config_w4 ~design:Simple ~tx:(fun d -> Queue.add d p.sent_data)
       ~next_payload:(payloads 20)
   in
   Blockack.Sender.pump s;

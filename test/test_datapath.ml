@@ -710,7 +710,7 @@ let ref_multi : Ba_proto.Protocol.t = (module Ref_multi)
 
 (* ------------------------------------------------------------------ *)
 (* Harness-level equivalence: identical runs, whole-result equality.
-   [Flow.result] folds in everything observable at the application
+   [Harness.result] folds in everything observable at the application
    boundary — delivery/duplicate/misorder counts, every wire counter,
    the raw per-payload latency samples — so record equality is a strong
    statement. The harness itself independently checks payload *content*

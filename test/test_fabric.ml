@@ -122,6 +122,23 @@ let test_single_flow_crash_isolated () =
         r.Fabric.flows)
     [ 1; 2; 3 ]
 
+(* A restart that no delivery resolved before the run ends is charged up
+   to the end of the flow's tenancy. Restart ticks are absolute, so a
+   late-starting flow must be charged up to its absolute end tick, not
+   up to its tenancy length (which once gave mean=-4990 here). *)
+let test_late_flow_unresolved_restart () =
+  let e = entry "blockack-multi" in
+  let crash_plan = [ { Ba_proto.Crash_plan.at = 5200; endpoint = Receiver_end; down_for = 790 } ] in
+  let late = Fabric.spec ~messages:50 ~start_at:5000 e.Registry.protocol in
+  let r =
+    Fabric.run ~seed:1 ~deadline:6000
+      [ Fabric.spec ~messages:5 e.Registry.protocol; { late with crash_plan } ]
+  in
+  match (List.nth r.Fabric.flows 1).Harness.resync_ticks with
+  | None -> Alcotest.fail "the late flow's restart went unrecorded"
+  | Some s ->
+      if s.Ba_util.Stats.mean < 0. then Alcotest.failf "resync mean=%.0f" s.Ba_util.Stats.mean
+
 let test_single_flow_crash_no_stall () =
   (* The survivors must not be slowed to the victim's recovery schedule:
      each non-victim flow finishes no later than in a crash-free run of
@@ -229,6 +246,8 @@ let () =
             test_single_flow_crash_isolated;
           Alcotest.test_case "survivors do not stall on the victim's recovery" `Quick
             test_single_flow_crash_no_stall;
+          Alcotest.test_case "late flow's open restart is charged forward" `Quick
+            test_late_flow_unresolved_restart;
           Alcotest.test_case "crashed fabric run is deterministic" `Quick
             test_fabric_crash_deterministic;
         ] );

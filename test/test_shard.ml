@@ -61,6 +61,12 @@ let test_budget_admission_is_cell_local () =
     (r.Shard.clamped_cells > 0 || r.Shard.refused > 0);
   check Alcotest.bool "sampled peak within budget" true (r.Shard.mem_peak_bytes <= budget)
 
+let test_hopeless_budget_names_shard () =
+  (* The admission error names the entry point the caller used. *)
+  Alcotest.check_raises "budget of one byte"
+    (Invalid_argument "Shard.run: memory_budget admits no flow") (fun () ->
+      ignore (Shard.run ~jobs:1 ~memory_budget:1 (mixed_specs ~messages:5 ~flows:1)))
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: shards/jobs are scheduling, not semantics *)
 
@@ -293,6 +299,8 @@ let () =
             test_capacity_lease_run_completes;
           Alcotest.test_case "budget admission is cell-local" `Quick
             test_budget_admission_is_cell_local;
+          Alcotest.test_case "hopeless budget names Shard.run" `Quick
+            test_hopeless_budget_names_shard;
           test_fabric_is_one_cell;
         ] );
       ( "determinism",
